@@ -94,6 +94,10 @@ class TenantMetrics:
     snapshots: int = 0
     #: Crash recoveries performed on attach (snapshot + journal tail).
     recoveries: int = 0
+    #: Query views the tenant's queries rebuilt, and the seconds spent
+    #: building them (``exact`` views rebuild after every mutation).
+    view_builds: int = 0
+    view_build_seconds: float = 0.0
     #: Queue-time + apply-time of acknowledged writes.
     write_latency: LatencyRing = field(default_factory=LatencyRing)
     #: Service time of queries.
@@ -116,6 +120,8 @@ class TenantMetrics:
             ),
             "snapshots": self.snapshots,
             "recoveries": self.recoveries,
+            "view_builds": self.view_builds,
+            "view_build_ms": round(self.view_build_seconds * 1e3, 3),
             "queue_depth": queue_depth,
             "write_latency_ms": self.write_latency.percentiles(),
             "query_latency_ms": self.query_latency.percentiles(),

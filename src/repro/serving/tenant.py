@@ -197,7 +197,11 @@ class Tenant:
         """Arrival-time candidates, serialized with writes per tenant."""
         start = time.perf_counter()
         async with self.lock:
+            blocker = self.session.metablocker
+            builds, build_seconds = blocker.view_builds, blocker.view_build_seconds
             result = self.session.candidates(profile_id, k=k, source=source)
+        self.metrics.view_builds += blocker.view_builds - builds
+        self.metrics.view_build_seconds += blocker.view_build_seconds - build_seconds
         self.metrics.queries += 1
         self.metrics.query_latency.record(time.perf_counter() - start)
         return result

@@ -89,9 +89,7 @@ class PostingList:
     def arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Sorted ``(left, right)`` member arrays (cached until mutated)."""
         if self._arrays is None:
-            left = np.fromiter(
-                sorted(self.left), dtype=np.int64, count=len(self.left)
-            )
+            left = np.fromiter(sorted(self.left), dtype=np.int64, count=len(self.left))
             right = None
             if self.right is not None:
                 right = np.fromiter(
@@ -150,10 +148,10 @@ class IncrementalBlockIndex:
                 f"filtering_ratio must be in (0, 1], got {filtering_ratio}"
             )
         self.clean_clean = clean_clean
-        # key id -> h, lazy; created before the partitioning setter runs,
-        # which clears it on every schema (re)assignment.
+        # key id -> h, lazy; the partitioning setter clears it on every
+        # later schema swap.
         self._entropies: dict[int, float] = {}
-        self.partitioning = partitioning
+        self._partitioning = partitioning
         self.min_token_length = min_token_length
         self.transformation = transformation
         self.q = q
@@ -182,9 +180,11 @@ class IncrementalBlockIndex:
     def partitioning(self, value: AttributePartitioning | None) -> None:
         # Swapping the schema invalidates every cached per-key entropy;
         # without this, keys queried before the swap would keep entropies
-        # from the previous partitioning generation.
+        # from the previous partitioning generation.  It also moves the
+        # version, so query views built under the old schema are rebuilt.
         self._partitioning = value
         self._entropies.clear()
+        self._version += 1
 
     @property
     def version(self) -> int:
@@ -263,9 +263,7 @@ class IncrementalBlockIndex:
         Restore-time only: the index must still be empty.
         """
         if self._ids:
-            raise ValueError(
-                "the node map can only be seeded into an empty index"
-            )
+            raise ValueError("the node map can only be seeded into an empty index")
         for source, profile_id, node in entries:
             self._ids[(int(source), str(profile_id))] = int(node)
         if self._ids:

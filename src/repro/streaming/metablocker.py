@@ -32,6 +32,7 @@ results and the python path doubles as the test oracle.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +153,9 @@ class StreamingMetaBlocker:
         self._view_version: int | None = None
         self._summaries: dict[int, _NodeSummary] = {}
         self._cnp_k_value: tuple[object, int] | None = None
+        #: Views built so far, and the wall time spent building them.
+        self.view_builds = 0
+        self.view_build_seconds = 0.0
 
     # -- view management -----------------------------------------------------
 
@@ -160,7 +164,10 @@ class StreamingMetaBlocker:
         if self._view is None or self._view_version != self.index.version:
             from repro.core.registry import STREAM_VIEWS
 
+            start = time.perf_counter()
             self._view = STREAM_VIEWS.get(self.consistency)(self.index)
+            self.view_build_seconds += time.perf_counter() - start
+            self.view_builds += 1
             self._view_version = self.index.version
             self._summaries.clear()
         return self._view
@@ -181,9 +188,7 @@ class StreamingMetaBlocker:
             stats.neighbors, weights, np.ones(weights.size, dtype=bool), view
         )
 
-    def candidates(
-        self, ref, k: int | None = None, source: int = 0
-    ) -> list[Candidate]:
+    def candidates(self, ref, k: int | None = None, source: int = 0) -> list[Candidate]:
         """The retained comparison partners of *ref* after pruning.
 
         ``k`` optionally caps the result to the top-k by weight (applied
@@ -227,18 +232,14 @@ class StreamingMetaBlocker:
             for node, weight in zip(nodes, kept_weights[order].tolist())
         ]
 
-    def _weights(
-        self, stats: NeighborStats, canonical: int, view
-    ) -> np.ndarray:
+    def _weights(self, stats: NeighborStats, canonical: int, view) -> np.ndarray:
         if stats.degree == 0:
             return np.zeros(0, dtype=np.float64)
         if self.backend == "python":
             return self._weights_python(stats, canonical, view)
         return self._weights_vectorized(stats, canonical, view)
 
-    def _weights_vectorized(
-        self, stats: NeighborStats, q: int, view
-    ) -> np.ndarray:
+    def _weights_vectorized(self, stats: NeighborStats, q: int, view) -> np.ndarray:
         scheme = self.weighting
         shared = stats.shared
         total = view.total_blocks
@@ -276,9 +277,7 @@ class StreamingMetaBlocker:
             weights = weights * (stats.entropy_mass / shared)
         return weights
 
-    def _weights_python(
-        self, stats: NeighborStats, q: int, view
-    ) -> np.ndarray:
+    def _weights_python(self, stats: NeighborStats, q: int, view) -> np.ndarray:
         scheme = self.weighting
         total = view.total_blocks
         blocks_q = view.node_blocks_scalar(q)
@@ -291,11 +290,7 @@ class StreamingMetaBlocker:
             if scheme is WeightingScheme.CBS:
                 weight = float(shared)
             elif scheme is WeightingScheme.ECBS:
-                weight = (
-                    shared
-                    * _safe_log(total / b_i)
-                    * _safe_log(total / b_j)
-                )
+                weight = shared * _safe_log(total / b_i) * _safe_log(total / b_j)
             elif scheme is WeightingScheme.JS:
                 weight = shared / (b_i + b_j - shared)
             elif scheme is WeightingScheme.ARCS:
@@ -337,9 +332,7 @@ class StreamingMetaBlocker:
         cutoff = None
         k = self._cnp_k(None)
         if k is not None and weights.size > k:
-            ranked = sorted(
-                self._edge_sort_keys(canonical, neighbors, weights)
-            )
+            ranked = sorted(self._edge_sort_keys(canonical, neighbors, weights))
             cutoff = ranked[k]
         return _NodeSummary(maximum, mean, cutoff)
 
@@ -358,7 +351,8 @@ class StreamingMetaBlocker:
 
         Lazily resolved from the view-global block statistics exactly as
         the batch default does (``ceil(sum_i |B_i| / |V|)``); cached per
-        view build via :attr:`_cnp_k_cache`.
+        view build in ``_cnp_k_value``, keyed by the view it was computed
+        from.
         """
         if not isinstance(self.pruning, CardinalityNodePruning):
             return None
@@ -368,9 +362,7 @@ class StreamingMetaBlocker:
         if cached is not None and cached[0] is self._view:
             return cached[1]
         view = view if view is not None else self.view()
-        k = max(
-            1, math.ceil(view.total_assignments / max(1, view.num_nodes))
-        )
+        k = max(1, math.ceil(view.total_assignments / max(1, view.num_nodes)))
         self._cnp_k_value = (self._view, k)
         return k
 
@@ -408,10 +400,7 @@ class StreamingMetaBlocker:
             if not two_hop:
                 return above_q
             theta_n = np.fromiter(
-                (
-                    self._summary(n, view).mean_weight
-                    for n in neighbors.tolist()
-                ),
+                (self._summary(n, view).mean_weight for n in neighbors.tolist()),
                 dtype=np.float64,
                 count=neighbors.size,
             )

@@ -8,15 +8,19 @@ at query time.  Two built-ins are registered under
 :data:`repro.core.registry.STREAM_VIEWS`:
 
 ``exact``
-    Lazily materializes the *batch* semantics: on first query after a
-    mutation the live postings are lowered to a
-    :class:`~repro.blocking.base.BlockCollection`, run through the very
-    same :func:`~repro.blocking.purging.block_purging` and
-    :func:`~repro.blocking.filtering.block_filtering` code the batch
-    pipeline executes, and cached (with the CSR
-    :class:`~repro.graph.entity_index.EntityIndex`) until the next
-    mutation.  Queries against a frozen index reproduce the batch blocking
-    graph statistic-for-statistic — this is the mode the stream-vs-batch
+    Lazily materializes the *batch* semantics: on the first query after a
+    mutation, the live postings are lowered straight from their cached
+    sorted arrays into a key-sorted CSR block layout and restructured by
+    :func:`~repro.blocking.filtering.purge_and_filter_csr` — Block Purging
+    and Block Filtering in array form, no Python sets or ``Block``
+    objects — into the CSR :class:`~repro.graph.entity_index.EntityIndex`
+    cached until the next mutation.  The batch
+    :func:`~repro.blocking.purging.block_purging` /
+    :func:`~repro.blocking.filtering.block_filtering` code stays the
+    oracle: ``tests/property/test_prop_purge_filter_csr.py`` asserts the
+    kernel reproduces its keys and CSR arrays exactly, so queries against
+    a frozen index reproduce the batch blocking graph
+    statistic-for-statistic — this is the mode the stream-vs-batch
     equivalence property is proven against.
 
 ``fast``
@@ -39,9 +43,8 @@ from math import ceil
 
 import numpy as np
 
-from repro.blocking.base import build_blocks
-from repro.blocking.filtering import block_filtering
-from repro.blocking.purging import block_purging
+from repro.blocking.filtering import purge_and_filter_csr
+from repro.graph.entity_index import EntityIndex
 from repro.streaming.index import IncrementalBlockIndex
 
 __all__ = ["NeighborStats", "ExactStreamView", "FastStreamView"]
@@ -118,78 +121,98 @@ class ExactStreamView:
     def __init__(self, index: IncrementalBlockIndex) -> None:
         self.index = index
         self.version = index.version
+        clean_clean = index.clean_clean
 
-        live = index.live_nodes()
-        if index.clean_clean:
-            live.sort(key=lambda node: (index.source_of(node), node))
-            self.offset2 = sum(
-                1 for node in live if index.source_of(node) == 0
+        live = np.asarray(index.live_nodes(), dtype=np.int64)
+        if clean_clean:
+            sources = np.fromiter(
+                map(index.source_of, live.tolist()), dtype=np.int64, count=live.size
             )
+            live = live[np.argsort(sources, kind="stable")]
+            self.offset2 = int(np.count_nonzero(sources == 0))
         else:
-            self.offset2 = len(live)
+            self.offset2 = int(live.size)
         self._nodes = live  # canonical id -> index node id
-        gidx = {node: position for position, node in enumerate(live)}
-        self._canonical = gidx  # index node id -> canonical id
+        # index node id -> canonical id (-1: not live)
+        self._canonical = np.full(
+            int(live.max()) + 1 if live.size else 0, -1, dtype=np.int64
+        )
+        self._canonical[live] = np.arange(live.size, dtype=np.int64)
 
-        key_string = index.key_string
-        if index.clean_clean:
-            keyed_cc: dict[str, tuple[set[int], set[int]]] = {}
-            for kid in index.key_ids():
-                posting = index.posting_by_id(kid)
-                keyed_cc[key_string(kid)] = (
-                    {gidx[n] for n in posting.left},
-                    {gidx[n] for n in posting.right or ()},
-                )
-            collection = build_blocks(keyed_cc, is_clean_clean=True)
-        else:
-            keyed: dict[str, set[int]] = {}
-            for kid in index.key_ids():
-                keyed[key_string(kid)] = {
-                    gidx[n] for n in index.posting_by_id(kid).left
-                }
-            collection = build_blocks(keyed, is_clean_clean=False)
+        # The live postings as a key-sorted CSR layout: one chunk per side
+        # of every posting.  Canonical ids preserve node order within a
+        # source, so each side stays sorted through the id lookup.
+        tokens = list(index.key_dictionary)
+        key_ids = sorted(index.key_ids(), key=tokens.__getitem__)
+        chunks = [
+            side
+            for kid in key_ids
+            for side in index.posting_by_id(kid).arrays()
+            if side is not None
+        ]
+        sizes = np.fromiter(map(len, chunks), dtype=np.int64, count=len(chunks))
+        sizes = sizes.reshape(len(key_ids), 2 if clean_clean else 1)  # key x side
+        block_ptr = np.zeros(len(key_ids) + 1, dtype=np.int64)
+        np.cumsum(sizes.sum(axis=1), out=block_ptr[1:])
+        members = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
-        if len(collection) and index.num_profiles:
-            collection = block_purging(
-                collection,
-                index.num_profiles,
-                max_profile_ratio=index.purging_ratio,
-                max_comparisons=index.max_comparisons,
-            )
-            collection = block_filtering(collection, ratio=index.filtering_ratio)
-        self.collection = collection
-
-        ei = collection.entity_index
+        positions, ptr, split, ids, comparisons = purge_and_filter_csr(
+            block_ptr,
+            block_ptr[:-1] + sizes[:, 0],
+            self._canonical[members],
+            is_clean_clean=clean_clean,
+            num_profiles=index.num_profiles,
+            purging_ratio=index.purging_ratio,
+            max_comparisons=index.max_comparisons,
+            filtering_ratio=index.filtering_ratio,
+        )
+        surviving = [key_ids[position] for position in positions.tolist()]
+        ei = EntityIndex.from_arrays(
+            clean_clean,
+            tuple(map(tokens.__getitem__, surviving)),
+            ptr,
+            split,
+            ids,
+            comparisons,
+        )
         self._entity_index = ei
-        self.total_blocks = len(collection)
+        self.total_blocks = ei.num_blocks
         self._node_blocks = ei.node_block_counts
-        self._block_ptr = ei.block_ptr.astype(np.int64)
-        self._block_split = ei.block_split.astype(np.int64)
-        self._entity_ids = ei.entity_ids.astype(np.int64)
-        comparisons = ei.block_comparisons
-        self._arcs_share = np.zeros(len(collection), dtype=np.float64)
-        np.divide(
-            1.0, comparisons, out=self._arcs_share, where=comparisons > 0
-        )
-        self._entropies = ei.block_entropies(
-            index.key_entropy if index.partitioning is not None else None
-        )
+        self._block_ptr = ptr
+        self._block_split = split
+        self._entity_ids = ids
+        self._arcs_share = np.zeros(ei.num_blocks, dtype=np.float64)
+        np.divide(1.0, comparisons, out=self._arcs_share, where=comparisons > 0)
+        if index.partitioning is None:
+            self._entropies = np.ones(ei.num_blocks, dtype=np.float64)
+        else:
+            self._entropies = np.fromiter(
+                map(index.key_entropy_by_id, surviving),
+                dtype=np.float64,
+                count=len(surviving),
+            )
 
     # -- id mapping ----------------------------------------------------------
 
     def canonical_of(self, node: int) -> int:
         """Canonical (batch global) id of an index node id."""
-        try:
-            return self._canonical[node]
-        except KeyError:
-            raise KeyError(f"node {node} is not live") from None
+        canonical = -1
+        if 0 <= node < self._canonical.size:
+            canonical = int(self._canonical[node])
+        if canonical < 0:
+            raise KeyError(f"node {node} is not live")
+        return canonical
 
     def nodes_of(self, canonical: np.ndarray) -> list[int]:
         """Map canonical ids back to index node ids."""
-        nodes = self._nodes
-        return [nodes[c] for c in canonical.tolist()]
+        return self._nodes[canonical].tolist()
 
     # -- graph statistics ----------------------------------------------------
+
+    @property
+    def entity_index(self) -> EntityIndex:
+        """CSR index of the purged + filtered blocks, in key order."""
+        return self._entity_index
 
     @property
     def num_nodes(self) -> int:
@@ -231,9 +254,7 @@ class ExactStreamView:
             return _EMPTY_STATS
         offsets = np.zeros(blocks.size, dtype=np.int64)
         np.cumsum(lengths[:-1], out=offsets[1:])
-        flat = np.repeat(starts - offsets, lengths) + np.arange(
-            total, dtype=np.int64
-        )
+        flat = np.repeat(starts - offsets, lengths) + np.arange(total, dtype=np.int64)
         members = self._entity_ids[flat]
         block_rep = np.repeat(blocks, lengths)
         if not self.index.clean_clean:
@@ -357,12 +378,8 @@ class FastStreamView:
             if others.size == 0:
                 continue
             member_chunks.append(others)
-            arcs_chunks.append(
-                np.full(others.size, 1.0 / posting.num_comparisons)
-            )
-            entropy_chunks.append(
-                np.full(others.size, index.key_entropy_by_id(kid))
-            )
+            arcs_chunks.append(np.full(others.size, 1.0 / posting.num_comparisons))
+            entropy_chunks.append(np.full(others.size, index.key_entropy_by_id(kid)))
         if not member_chunks:
             return _EMPTY_STATS
         return _aggregate(

@@ -55,6 +55,12 @@ class TestTenantMetrics:
         assert snapshot["write_latency_ms"]["p50"] == 1.0
         assert metrics.writes == 8
 
+    def test_snapshot_dict_reports_view_builds(self):
+        metrics = TenantMetrics(view_builds=3, view_build_seconds=0.0125)
+        snapshot = metrics.snapshot_dict()
+        assert snapshot["view_builds"] == 3
+        assert snapshot["view_build_ms"] == 12.5
+
     def test_zero_batches_mean_is_zero(self):
         assert TenantMetrics().snapshot_dict()["mean_batch_size"] == 0.0
 

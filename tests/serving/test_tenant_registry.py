@@ -277,6 +277,22 @@ class TestRegistry:
 
         asyncio.run(scenario())
 
+    def test_stats_report_view_builds(self, tmp_path):
+        async def scenario():
+            registry = TenantRegistry(tmp_path, serving_config())
+            tenant = await registry.get("t1")
+            await fill(tenant)
+            await tenant.query("p1", 5, 0)
+            await tenant.query("p2", 5, 0)  # same index version: no rebuild
+            await tenant.submit(delete_request("t1", "p3"))
+            await tenant.query("p1", 5, 0)
+            stats = registry.stats("t1")["t1"]
+            assert stats["view_builds"] == 2
+            assert stats["view_build_ms"] > 0.0
+            await registry.close_all()
+
+        asyncio.run(scenario())
+
     def test_snapshot_name_constant_matches_layout(self, tmp_path):
         registry = TenantRegistry(tmp_path, serving_config())
         assert registry.snapshot_path("x").name == SNAPSHOT_NAME

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data import EntityProfile
 from repro.schema.partition import AttributePartitioning
-from repro.streaming import IncrementalBlockIndex
+from repro.streaming import IncrementalBlockIndex, StreamingMetaBlocker
 
 
 def profile(pid: str, text: str) -> EntityProfile:
@@ -164,6 +164,27 @@ class TestSchemaAwareKeys:
             clusters=[[(0, "name")]], glue=[], entropies={1: 2.5}
         )
         assert index.key_entropy("abram#1") == 2.5
+
+    def test_partitioning_swap_invalidates_cached_views(self):
+        def schema(entropy: float) -> AttributePartitioning:
+            return AttributePartitioning(
+                clusters=[[(0, "name")]], glue=[], entropies={1: entropy}
+            )
+
+        def answers(blocker: StreamingMetaBlocker) -> list[tuple[str, float]]:
+            return [(c.profile_id, c.weight) for c in blocker.candidates("a")]
+
+        index = IncrementalBlockIndex(partitioning=schema(1.5), purging_ratio=1.0)
+        for pid, text in [("a", "abram"), ("d", "abram"), ("e", "ellen")]:
+            index.upsert(profile(pid, text))
+        blocker = StreamingMetaBlocker(index, weighting="arcs", entropy_boost=True)
+        assert answers(blocker) == [("d", 1.5)]  # caches the view
+        version = index.version
+        index.partitioning = schema(3.0)
+        assert index.version > version
+        assert answers(blocker) == [("d", 3.0)]
+        fresh = StreamingMetaBlocker(index, weighting="arcs", entropy_boost=True)
+        assert answers(fresh) == answers(blocker)
 
     def test_unclustered_attribute_falls_into_glue(self):
         partitioning = AttributePartitioning(

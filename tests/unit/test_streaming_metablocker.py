@@ -148,6 +148,20 @@ class TestQueries:
         assert meta.candidates("a") == []
         assert meta.neighborhood("a") == []
 
+    def test_view_builds_counted_once_per_index_version(self):
+        index = IncrementalBlockIndex(purging_ratio=1.0)
+        index.upsert(EntityProfile.from_dict("a", {"n": "john abram"}))
+        index.upsert(EntityProfile.from_dict("b", {"n": "john abram"}))
+        meta = StreamingMetaBlocker(index, weighting="cbs")
+        assert (meta.view_builds, meta.view_build_seconds) == (0, 0.0)
+        meta.candidates("a")
+        meta.candidates("b")
+        assert meta.view_builds == 1
+        index.upsert(EntityProfile.from_dict("c", {"n": "john"}))
+        meta.candidates("a")
+        assert meta.view_builds == 2
+        assert meta.view_build_seconds > 0.0
+
     def test_fast_candidates_subset_of_neighborhood(self, figure1_dirty):
         index = build_index(figure1_dirty)
         meta = StreamingMetaBlocker(index, consistency="fast")
