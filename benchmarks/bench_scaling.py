@@ -86,6 +86,9 @@ def time_backend(
     """Best-of-*repeats* wall-clock seconds for one full meta-blocking run."""
     best = float("inf")
     out = None
+    # Blockers store a collection as its entity index; build the Block
+    # view first so the index can be dropped and lowered again below.
+    list(blocks)
     for _ in range(repeats):
         # Cold start for every repetition: drop the CSR entity-index
         # cache so the vectorized timing always includes the collection

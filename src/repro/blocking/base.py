@@ -101,20 +101,64 @@ class Block:
 
 
 class BlockCollection(Sequence[Block]):
-    """An ordered collection of blocks emitted by one blocking technique."""
+    """An ordered collection of blocks emitted by one blocking technique.
+
+    A collection has two views of the same blocks: the ``Block`` objects
+    and the CSR :attr:`entity_index`.  It is built from either one
+    (``BlockCollection(blocks, ...)`` or :meth:`from_entity_index`) and
+    derives the other on first use.  The blockers and the restructuring
+    steps produce CSR-built collections, so their ``Block`` objects exist
+    only once something iterates or indexes the collection; ``len`` and
+    :attr:`aggregate_cardinality` read whichever view is already there.
+    """
 
     def __init__(self, blocks: Iterable[Block], is_clean_clean: bool) -> None:
         self.is_clean_clean = is_clean_clean
-        self._blocks: list[Block] = []
+        checked: list[Block] = []
         for block in blocks:
             if block.is_clean_clean != is_clean_clean:
                 raise ValueError(
                     f"block {block.key!r} kind does not match the collection"
                 )
-            self._blocks.append(block)
+            checked.append(block)
+        self._blocks = checked
+
+    @classmethod
+    def from_entity_index(cls, index) -> "BlockCollection":
+        """A collection stored as *index*; its ``Block`` objects come lazily.
+
+        *index* is a :class:`repro.graph.entity_index.EntityIndex`.
+        """
+        collection = cls.__new__(cls)
+        collection.is_clean_clean = index.is_clean_clean
+        collection.entity_index = index
+        return collection
+
+    @cached_property
+    def _blocks(self) -> list[Block]:
+        """The ``Block`` objects of a CSR-built collection, built once."""
+        index = self.__dict__.get("entity_index")
+        if index is None:
+            raise RuntimeError("collection has neither Block objects nor an index")
+        ids = index.entity_ids.tolist()
+        ptr = index.block_ptr.tolist()
+        if not self.is_clean_clean:
+            return [
+                Block(key, frozenset(ids[start:end]))
+                for key, start, end in zip(index.keys, ptr, ptr[1:])
+            ]
+        return [
+            Block(key, frozenset(ids[start:split]), frozenset(ids[split:end]))
+            for key, start, split, end in zip(
+                index.keys, ptr, index.block_split.tolist(), ptr[1:]
+            )
+        ]
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        blocks = self.__dict__.get("_blocks")
+        if blocks is None:
+            return self.entity_index.num_blocks
+        return len(blocks)
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self._blocks)
@@ -131,7 +175,10 @@ class BlockCollection(Sequence[Block]):
     @cached_property
     def aggregate_cardinality(self) -> int:
         """``||B||``: total comparisons across all blocks (with redundancy)."""
-        return sum(block.num_comparisons for block in self._blocks)
+        index = self.__dict__.get("entity_index")
+        if index is None:
+            return sum(block.num_comparisons for block in self._blocks)
+        return index.total_comparisons
 
     @cached_property
     def profile_block_sets(self) -> dict[int, frozenset[int]]:
@@ -151,9 +198,11 @@ class BlockCollection(Sequence[Block]):
     def entity_index(self):
         """CSR array view of the collection (cached).
 
-        The flat ``block_ptr``/``entity_ids``/cardinality arrays the
-        vectorized meta-blocking backend and the pair-streaming helpers
-        operate on; see :class:`repro.graph.entity_index.EntityIndex`.
+        The flat ``block_ptr``/``entity_ids``/cardinality arrays that Block
+        Purging, Block Filtering, the vectorized meta-blocking backend and
+        the pair-streaming helpers operate on; see
+        :class:`repro.graph.entity_index.EntityIndex`.  The storage of a
+        CSR-built collection; lowered from the ``Block`` objects otherwise.
         """
         from repro.graph.entity_index import EntityIndex
 

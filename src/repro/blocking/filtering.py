@@ -5,22 +5,23 @@ in the most significant fraction of its blocks (the smallest ones, since
 small blocks carry more discriminating keys).  The paper filters out the 20%
 least significant blocks per profile (footnote 9).
 
-Two implementations live here.  :func:`block_filtering` restructures a
-:class:`~repro.blocking.base.BlockCollection` of ``Block`` objects (the
-batch path, and the reference oracle).  :func:`purge_and_filter_csr` runs
-Block Purging and Block Filtering together on a CSR block layout, with no
-Python sets or ``Block`` objects; the ``exact`` streaming view rebuilds
-from it, and ``tests/property/test_prop_purge_filter_csr.py`` binds its
-output to ``block_filtering(block_purging(build_blocks(...)))``.
+One implementation, on CSR block layouts: :func:`filter_csr` ranks every
+profile's blocks with a single sort and keeps the first
+``ceil(ratio * |B_i|)``.  :func:`block_filtering` runs it on a collection's
+:class:`~repro.graph.entity_index.EntityIndex`, and
+:func:`purge_and_filter_csr` composes it with the Block Purging mask for
+the ``exact`` streaming view.  The frozenset formulation the paper states
+is the test oracle (``tests/oracles/blocking.py``).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.blocking.base import Block, BlockCollection
+from repro.blocking.base import BlockCollection
+from repro.blocking.purging import purge_mask
+from repro.graph.entity_index import EntityIndex
+from repro.utils.arrays import segment_positions
 
 
 def block_filtering(collection: BlockCollection, ratio: float = 0.8) -> BlockCollection:
@@ -39,36 +40,31 @@ def block_filtering(collection: BlockCollection, ratio: float = 0.8) -> BlockCol
     BlockCollection
         A new collection in which every block retains only the memberships
         that survived filtering; blocks left without any comparison are
-        dropped.
+        dropped.  It is stored as an entity index; its ``Block`` objects
+        are built only if something iterates it.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-
-    # Rank each profile's blocks by ascending size (ties broken by position
-    # for determinism) and mark the retained (profile, block) memberships.
-    sizes = [block.size for block in collection]
-    retained: dict[int, set[int]] = {}  # block position -> kept profiles
-    for profile, positions in collection.profile_block_sets.items():
-        ranked = sorted(positions, key=lambda pos: (sizes[pos], pos))
-        keep = math.ceil(ratio * len(ranked))
-        for pos in ranked[:keep]:
-            retained.setdefault(pos, set()).add(profile)
-
-    blocks: list[Block] = []
-    for position, block in enumerate(collection):
-        kept = retained.get(position)
-        if not kept:
-            continue
-        if collection.is_clean_clean:
-            left = frozenset(block.left & kept)
-            right = frozenset((block.right or frozenset()) & kept)
-            if left and right:
-                blocks.append(Block(block.key, left, right))
-        else:
-            members = frozenset(block.left & kept)
-            if len(members) >= 2:
-                blocks.append(Block(block.key, members))
-    return BlockCollection(blocks, collection.is_clean_clean)
+    index = collection.entity_index
+    positions, ptr, split, ids, comparisons = filter_csr(
+        index.block_ptr,
+        index.block_split,
+        index.entity_ids,
+        np.arange(index.num_blocks, dtype=np.int64),
+        is_clean_clean=index.is_clean_clean,
+        ratio=ratio,
+    )
+    keys = index.keys
+    return BlockCollection.from_entity_index(
+        EntityIndex.from_arrays(
+            is_clean_clean=index.is_clean_clean,
+            keys=tuple(keys[p] for p in positions.tolist()),
+            block_ptr=ptr,
+            block_split=split,
+            entity_ids=ids,
+            block_comparisons=comparisons,
+        )
+    )
 
 
 def _comparisons(
@@ -78,6 +74,91 @@ def _comparisons(
     if is_clean_clean:
         return left * right
     return left * (left - 1) // 2
+
+
+def filter_csr(
+    block_ptr: np.ndarray,
+    block_split: np.ndarray,
+    entity_ids: np.ndarray,
+    blocks: np.ndarray,
+    *,
+    is_clean_clean: bool,
+    ratio: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Block Filtering of the blocks at *blocks* of a CSR block layout.
+
+    Parameters
+    ----------
+    block_ptr / block_split / entity_ids:
+        The blocks laid out as in
+        :class:`~repro.graph.entity_index.EntityIndex`: block *b*'s members
+        are ``entity_ids[block_ptr[b]:block_ptr[b + 1]]``, E1 members
+        before ``block_split[b]`` and E2 members from it, each side sorted
+        ascending.
+    blocks:
+        Ascending positions of the blocks to filter (the others are
+        ignored, as if absent).  Blocks without comparisons still count
+        towards their members' ``|B_i|``, as in the paper's definition.
+    is_clean_clean:
+        Whether only cross-source pairs are comparisons.
+    ratio:
+        Fraction of its blocks each profile is kept in, validated by the
+        callers.
+
+    Returns
+    -------
+    tuple
+        ``(positions, block_ptr, block_split, entity_ids,
+        block_comparisons)``: the input positions of the blocks that still
+        imply a comparison, ascending, and their restructured CSR arrays
+        (``int64``).
+    """
+    ptr = np.asarray(block_ptr, dtype=np.int64)
+    split = np.asarray(block_split, dtype=np.int64)
+    blocks = np.asarray(blocks, dtype=np.int64)
+    starts = ptr[:-1][blocks]
+    counts = ptr[1:][blocks] - starts
+
+    # One row per (block, member) incidence, in block-major order.
+    flat, _ = segment_positions(starts, counts)
+    local = np.repeat(np.arange(blocks.size, dtype=np.int64), counts)
+    entity = np.asarray(entity_ids, dtype=np.int64)[flat]
+    is_left = flat < np.repeat(split[blocks], counts)
+
+    # Rank each entity's blocks by (size, position) and keep the
+    # ceil(ratio * |B_i|) first.  The blocks are ordered by (size,
+    # position) once; one sort of (entity, that order) then ranks every
+    # entity's blocks.
+    block_order = np.empty(blocks.size, dtype=np.int64)
+    block_order[np.argsort(counts, kind="stable")] = np.arange(
+        blocks.size, dtype=np.int64
+    )
+    order = np.argsort(entity * max(1, blocks.size) + block_order[local])
+    ranked = entity[order]
+    degree = (
+        np.bincount(ranked) if ranked.size else np.zeros(0, dtype=np.int64)
+    )
+    first = np.zeros(degree.size, dtype=np.int64)
+    np.cumsum(degree[:-1], out=first[1:])
+    rank = np.arange(ranked.size, dtype=np.int64) - first[ranked]
+    retained = np.zeros(ranked.size, dtype=bool)
+    retained[order] = rank < np.ceil(ratio * degree)[ranked]
+
+    # Drop the blocks filtering left without comparisons.
+    left = np.bincount(local[retained & is_left], minlength=blocks.size)
+    right = np.bincount(local[retained & ~is_left], minlength=blocks.size)
+    kept_comparisons = _comparisons(left, right, is_clean_clean)
+    survives = kept_comparisons > 0
+    out_sizes = (left + right)[survives]
+    out_ptr = np.zeros(out_sizes.size + 1, dtype=np.int64)
+    np.cumsum(out_sizes, out=out_ptr[1:])
+    return (
+        blocks[survives],
+        out_ptr,
+        out_ptr[:-1] + left[survives],
+        entity[retained & survives[local]],
+        kept_comparisons[survives],
+    )
 
 
 def purge_and_filter_csr(
@@ -101,10 +182,8 @@ def purge_and_filter_csr(
     ----------
     block_ptr / block_split / entity_ids:
         The input blocks in key-sorted order, laid out as in
-        :class:`~repro.graph.entity_index.EntityIndex`: block *b*'s members
-        are ``entity_ids[block_ptr[b]:block_ptr[b + 1]]``, E1 members
-        before ``block_split[b]`` and E2 members from it, each side sorted
-        ascending.  Blocks without comparisons are allowed (and dropped).
+        :func:`filter_csr`.  Blocks without comparisons are allowed (and
+        dropped, as :func:`~repro.blocking.base.build_blocks` drops them).
     is_clean_clean:
         Whether only cross-source pairs are comparisons.
     num_profiles:
@@ -119,9 +198,8 @@ def purge_and_filter_csr(
     Returns
     -------
     tuple
-        ``(positions, block_ptr, block_split, entity_ids,
-        block_comparisons)``: the input positions of the surviving blocks,
-        ascending, and their restructured CSR arrays (``int64``).
+        As :func:`filter_csr`: the input positions of the surviving
+        blocks, ascending, and their restructured CSR arrays (``int64``).
     """
     if not 0.0 < purging_ratio <= 1.0:
         raise ValueError(f"purging_ratio must be in (0, 1], got {purging_ratio}")
@@ -129,53 +207,19 @@ def purge_and_filter_csr(
         raise ValueError(f"filtering_ratio must be in (0, 1], got {filtering_ratio}")
     ptr = np.asarray(block_ptr, dtype=np.int64)
     split = np.asarray(block_split, dtype=np.int64)
-    members = np.asarray(entity_ids, dtype=np.int64)
-    starts = ptr[:-1]
-    sizes = ptr[1:] - starts
-    comparisons = _comparisons(split - starts, ptr[1:] - split, is_clean_clean)
-
-    # build_blocks drops blocks without comparisons; Block Purging drops
-    # oversized ones.
-    keep = (comparisons > 0) & (sizes <= purging_ratio * num_profiles)
-    if max_comparisons is not None:
-        keep &= comparisons <= max_comparisons
-    blocks = np.flatnonzero(keep)
-    counts = sizes[blocks]
-
-    # One row per (block, member) incidence of the purged blocks, in
-    # block-major order.
-    total = int(counts.sum())
-    local = np.repeat(np.arange(blocks.size, dtype=np.int64), counts)
-    offsets = np.zeros(blocks.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    flat = starts[blocks][local] + np.arange(total, dtype=np.int64) - offsets[local]
-    entity = members[flat]
-    is_left = flat < split[blocks][local]
-
-    # Block Filtering: rank each entity's blocks by (size, position) and
-    # keep the ceil(ratio * |B_i|) first, with the float expression of
-    # block_filtering's math.ceil(ratio * len(ranked)).
-    order = np.lexsort((blocks[local], counts[local], entity))
-    ranked = entity[order]
-    degree = np.bincount(ranked) if total else np.zeros(0, dtype=np.int64)
-    first = np.zeros(degree.size, dtype=np.int64)
-    np.cumsum(degree[:-1], out=first[1:])
-    rank = np.arange(total, dtype=np.int64) - first[ranked]
-    retained = np.zeros(total, dtype=bool)
-    retained[order] = rank < np.ceil(filtering_ratio * degree)[ranked]
-
-    # Drop the blocks filtering left without comparisons.
-    left = np.bincount(local[retained & is_left], minlength=blocks.size)
-    right = np.bincount(local[retained & ~is_left], minlength=blocks.size)
-    kept_comparisons = _comparisons(left, right, is_clean_clean)
-    survives = kept_comparisons > 0
-    out_sizes = (left + right)[survives]
-    out_ptr = np.zeros(out_sizes.size + 1, dtype=np.int64)
-    np.cumsum(out_sizes, out=out_ptr[1:])
-    return (
-        blocks[survives],
-        out_ptr,
-        out_ptr[:-1] + left[survives],
-        entity[retained & survives[local]],
-        kept_comparisons[survives],
+    comparisons = _comparisons(split - ptr[:-1], ptr[1:] - split, is_clean_clean)
+    keep = (comparisons > 0) & purge_mask(
+        ptr[1:] - ptr[:-1],
+        comparisons,
+        num_profiles=num_profiles,
+        max_profile_ratio=purging_ratio,
+        max_comparisons=max_comparisons,
+    )
+    return filter_csr(
+        ptr,
+        split,
+        entity_ids,
+        np.flatnonzero(keep),
+        is_clean_clean=is_clean_clean,
+        ratio=filtering_ratio,
     )

@@ -4,11 +4,38 @@ Discards blocks corresponding to extremely frequent blocking keys (stop
 words and the like): the paper's formulation drops every block containing
 more than half of the profiles in the collection.  An optional comparison
 cap lets callers additionally bound per-block cost.
+
+Purging is a mask over the per-block size and comparison arrays of a
+collection's :class:`~repro.graph.entity_index.EntityIndex`
+(:func:`purge_mask`); :func:`~repro.blocking.filtering.purge_and_filter_csr`
+reuses the same mask.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.blocking.base import BlockCollection
+
+
+def purge_mask(
+    sizes: np.ndarray,
+    comparisons: np.ndarray,
+    *,
+    num_profiles: int,
+    max_profile_ratio: float,
+    max_comparisons: int | None,
+) -> np.ndarray:
+    """Which blocks Block Purging keeps, given their sizes and ``||b||``.
+
+    A block is dropped when it has more than ``max_profile_ratio *
+    num_profiles`` members or, with a cap, more than *max_comparisons*
+    comparisons.  Parameters are validated by the callers.
+    """
+    keep = sizes <= max_profile_ratio * num_profiles
+    if max_comparisons is not None:
+        keep &= comparisons <= max_comparisons
+    return keep
 
 
 def block_purging(
@@ -35,19 +62,19 @@ def block_purging(
     Returns
     -------
     BlockCollection
-        A new collection; the input is never mutated.
+        A new collection, stored as an entity index; the input is never
+        mutated.
     """
     if not 0.0 < max_profile_ratio <= 1.0:
         raise ValueError(f"max_profile_ratio must be in (0, 1], got {max_profile_ratio}")
     if num_profiles <= 0:
         raise ValueError(f"num_profiles must be positive, got {num_profiles}")
-    size_cap = max_profile_ratio * num_profiles
-
-    def keep(block) -> bool:
-        if block.size > size_cap:
-            return False
-        if max_comparisons is not None and block.num_comparisons > max_comparisons:
-            return False
-        return True
-
-    return collection.filter_blocks(keep)
+    index = collection.entity_index
+    keep = purge_mask(
+        np.diff(index.block_ptr),
+        index.block_comparisons,
+        num_profiles=num_profiles,
+        max_profile_ratio=max_profile_ratio,
+        max_comparisons=max_comparisons,
+    )
+    return BlockCollection.from_entity_index(index.take(np.flatnonzero(keep)))

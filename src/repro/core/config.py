@@ -9,8 +9,9 @@ from repro.graph.weights import WeightingScheme
 
 #: Built-in backends that run serially and take no execution knobs;
 #: ``workers``/``shard_size`` are rejected for these (and forwarded to
-#: every other backend via :meth:`BlastConfig.backend_options`).
-_SERIAL_BACKENDS = frozenset({"python", "vectorized"})
+#: every other backend via :meth:`BlastConfig.backend_options`), and
+#: experiment grids do not expand worker counts for them.
+SERIAL_BACKENDS = frozenset({"python", "vectorized"})
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,7 @@ class BlastConfig:
         # built-ins are rejected: a custom registered backend receives the
         # knobs through backend_options() and may accept them (or fail
         # loudly with a TypeError of its own).
-        if self.backend in _SERIAL_BACKENDS and (
+        if self.backend in SERIAL_BACKENDS and (
             self.workers is not None
             or self.shard_size is not None
             or self.task_timeout is not None
@@ -374,7 +375,7 @@ class BlastConfig:
         count, balanced shards, no timeout, 2 retries, per-run pool, no
         spilling) apply.
         """
-        if self.backend in _SERIAL_BACKENDS:
+        if self.backend in SERIAL_BACKENDS:
             return {}
         options: dict[str, object] = {}
         if self.workers is not None:

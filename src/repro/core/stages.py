@@ -564,7 +564,11 @@ class Pipeline:
 def _block_stats(
     blocks: BlockCollection | None,
 ) -> tuple[int | None, int | None]:
-    """(block count, comparison cardinality) of *blocks*, or (None, None)."""
+    """(block count, comparison cardinality) of *blocks*, or (None, None).
+
+    Both figures come from whichever view the collection already holds,
+    so a CSR-stored collection is never turned into ``Block`` objects here.
+    """
     if blocks is None:
         return None, None
     return len(blocks), blocks.aggregate_cardinality

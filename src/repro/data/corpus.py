@@ -30,6 +30,7 @@ across restarts).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from collections.abc import Iterable, Iterator
@@ -38,6 +39,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.utils.arrays import segment_positions, sorted_unique
 from repro.utils.tokenize import qgrams, suffixes, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset -> here)
@@ -120,6 +122,16 @@ class TokenDictionary:
         return list(self._tokens)
 
     @classmethod
+    def from_ids(cls, ids: dict[str, int]) -> "TokenDictionary":
+        """Adopt *ids*, a mapping whose values are ``0, 1, ...`` in order."""
+        if len(ids) > MAX_TOKEN_ID + 1:
+            raise OverflowError("token dictionary exceeded int32 id space")
+        dictionary = cls()
+        dictionary._ids = ids
+        dictionary._tokens = list(ids)
+        return dictionary
+
+    @classmethod
     def from_payload(cls, tokens: Iterable[str]) -> "TokenDictionary":
         """Rebuild a dictionary, preserving the ids :meth:`to_payload` saved."""
         dictionary = cls()
@@ -179,38 +191,54 @@ class InternedCorpus:
         :attr:`token_lengths` array, so one corpus serves every
         ``min_token_length`` setting.
         """
-        dictionary = TokenDictionary()
-        attributes: list[AttributeRef] = []
-        attr_index: dict[AttributeRef, int] = {}
-        ptr: list[int] = [0]
-        flat_attrs: list[int] = []
-        flat_tokens: list[int] = []
         num_profiles = dataset.num_profiles
         if num_profiles > MAX_TOKEN_ID:
             raise OverflowError("corpus profile space exceeds int32")
         offset2 = dataset.offset2 if dataset.is_clean_clean else num_profiles
-        intern = dictionary.intern
-        append_attr = flat_attrs.append
-        append_token = flat_tokens.append
-        for gidx, profile in dataset.iter_profiles():
-            source = 0 if gidx < offset2 else 1
-            for name, value in profile.iter_pairs():
-                ref = (source, name)
-                aid = attr_index.get(ref)
-                if aid is None:
-                    aid = len(attributes)
-                    attr_index[ref] = aid
-                    attributes.append(ref)
-                for token in tokenize(value, min_length=1):
-                    append_attr(aid)
-                    append_token(intern(token))
-            ptr.append(len(flat_tokens))
+        pairs: list[tuple[str, str]] = []
+        pair_ptr = [0]
+        for _, profile in dataset.iter_profiles():
+            pairs.extend(profile.iter_pairs())
+            pair_ptr.append(len(pairs))
+
+        # Attribute ids in first-occurrence order (E1's attributes first).
+        split = pair_ptr[offset2]
+        names = [name for name, _ in pairs]
+        attributes: list[AttributeRef] = []
+        pair_attrs: list[int] = []
+        for source, chunk in ((0, names[:split]), (1, names[split:])):
+            ids = dict(zip(dict.fromkeys(chunk), itertools.count(len(attributes))))
+            attributes.extend((source, name) for name in ids)
+            pair_attrs.extend(map(ids.__getitem__, chunk))
+
+        # Each distinct value string is tokenized once (51% of dbp's values
+        # and 74% of census's are repeats), and token ids follow first
+        # occurrence, numbered by dict.fromkeys rather than by one
+        # interning call per token.
+        values = [value for _, value in pairs]
+        value_ids = dict(zip(dict.fromkeys(values), itertools.count()))
+        token_lists = [tokenize(value, min_length=1) for value in value_ids]
+        tokens = list(itertools.chain.from_iterable(token_lists))
+        token_ids = dict(zip(dict.fromkeys(tokens), itertools.count()))
+        dictionary = TokenDictionary.from_ids(token_ids)
+        value_tokens = np.fromiter(
+            map(token_ids.__getitem__, tokens), dtype=np.int32, count=len(tokens)
+        )
+
+        # Gather every (profile, value) pair's tokens from its value's.
+        lengths = np.fromiter(map(len, token_lists), dtype=np.int64)
+        value_of = np.fromiter(
+            map(value_ids.__getitem__, values), dtype=np.int64, count=len(values)
+        )
+        counts = lengths[value_of]
+        starts = np.cumsum(lengths) - lengths
+        rows, occurrence_ptr = segment_positions(starts[value_of], counts)
         return cls(
             dictionary=dictionary,
             attributes=tuple(attributes),
-            profile_ptr=np.asarray(ptr, dtype=np.int64),
-            attr_ids=np.asarray(flat_attrs, dtype=np.int32),
-            token_ids=np.asarray(flat_tokens, dtype=np.int32),
+            profile_ptr=occurrence_ptr[np.asarray(pair_ptr, dtype=np.int64)],
+            attr_ids=np.repeat(np.asarray(pair_attrs, dtype=np.int32), counts),
+            token_ids=value_tokens[rows],
             offset2=offset2,
             is_clean_clean=dataset.is_clean_clean,
         )
@@ -350,7 +378,7 @@ class InternedCorpus:
             mask = self.token_lengths[self.token_ids] >= min_token_length
             rows = self.occurrence_rows[mask]
             toks = self.token_ids[mask].astype(np.int64)
-            packed = np.unique((rows << np.int64(31)) | toks)
+            packed = sorted_unique((rows << np.int64(31)) | toks)
             cached = (packed >> np.int64(31), packed & np.int64(MAX_TOKEN_ID))
             self._cache[key] = cached
         return cached
@@ -460,13 +488,6 @@ class InternedCorpus:
         """
         _, ptr, ids = table
         counts = ptr[toks + 1] - ptr[toks]
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
+        flat, _ = segment_positions(ptr[toks], counts)
         positions = np.repeat(np.arange(toks.size, dtype=np.int64), counts)
-        offsets = np.zeros(toks.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        starts = np.repeat(ptr[toks] - offsets, counts)
-        flat = starts + np.arange(total, dtype=np.int64)
         return rows[positions], ids[flat], positions

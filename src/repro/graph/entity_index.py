@@ -1,11 +1,13 @@
 """CSR-style entity index of a block collection.
 
 The array-backed meta-blocking backend (``repro.graph.vectorized``) never
-walks Python block objects in its hot path.  Instead a
-:class:`BlockCollection` is lowered once into a compressed-sparse-row
-layout — flat ``int32`` member arrays plus per-block offset/cardinality
-arrays — from which every co-occurrence pair can be enumerated with pure
-numpy arithmetic:
+walks Python block objects in its hot path.  Instead it reads a
+:class:`BlockCollection` as a compressed-sparse-row layout — flat
+``int32`` member arrays plus per-block offset/cardinality arrays — from
+which every co-occurrence pair can be enumerated with pure numpy
+arithmetic.  The blockers, Block Purging and Block Filtering produce
+collections *stored* as this index; a collection built from ``Block``
+objects is lowered into it once, on first use:
 
 * ``entity_ids[block_ptr[b]:block_ptr[b+1]]`` are block *b*'s members;
   for clean-clean blocks ``block_split[b]`` separates the (sorted) E1
@@ -28,6 +30,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.utils.arrays import segment_positions, sorted_unique
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (base -> here)
     from repro.blocking.base import BlockCollection
@@ -146,6 +150,20 @@ class EntityIndex:
             node_block_counts=node_block_counts,
         )
 
+    def take(self, positions: np.ndarray) -> "EntityIndex":
+        """The index of the blocks at *positions* only, in that order."""
+        ptr = self.block_ptr.astype(np.int64)
+        starts = ptr[:-1][positions]
+        flat, out_ptr = segment_positions(starts, ptr[1:][positions] - starts)
+        return EntityIndex.from_arrays(
+            is_clean_clean=self.is_clean_clean,
+            keys=tuple(self.keys[p] for p in positions.tolist()),
+            block_ptr=out_ptr,
+            block_split=out_ptr[:-1] + (self.block_split[positions] - starts),
+            entity_ids=self.entity_ids[flat],
+            block_comparisons=self.block_comparisons[positions],
+        )
+
     @property
     def num_blocks(self) -> int:
         return len(self.keys)
@@ -261,7 +279,7 @@ class EntityIndex:
         src, dst, _ = self.enumerate_pairs()
         if src.size == 0:
             return src, dst
-        return unpack_pairs(np.unique(pack_pairs(src, dst)))
+        return unpack_pairs(sorted_unique(pack_pairs(src, dst)))
 
 
 def pack_pairs(src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -11,17 +11,16 @@ at query time.  Two built-ins are registered under
     Lazily materializes the *batch* semantics: on the first query after a
     mutation, the live postings are lowered straight from their cached
     sorted arrays into a key-sorted CSR block layout and restructured by
-    :func:`~repro.blocking.filtering.purge_and_filter_csr` — Block Purging
-    and Block Filtering in array form, no Python sets or ``Block``
-    objects — into the CSR :class:`~repro.graph.entity_index.EntityIndex`
-    cached until the next mutation.  The batch
-    :func:`~repro.blocking.purging.block_purging` /
-    :func:`~repro.blocking.filtering.block_filtering` code stays the
-    oracle: ``tests/property/test_prop_purge_filter_csr.py`` asserts the
-    kernel reproduces its keys and CSR arrays exactly, so queries against
-    a frozen index reproduce the batch blocking graph
-    statistic-for-statistic — this is the mode the stream-vs-batch
-    equivalence property is proven against.
+    :func:`~repro.blocking.filtering.purge_and_filter_csr` — the purge
+    mask and filter ranking batch Block Purging and Block Filtering run,
+    no Python sets or ``Block`` objects — into the CSR
+    :class:`~repro.graph.entity_index.EntityIndex` cached until the next
+    mutation.  ``tests/property/test_prop_purge_filter_csr.py`` asserts
+    the kernel reproduces the keys and CSR arrays of the frozenset oracle
+    (``tests/oracles/blocking.py``) exactly, so queries against a frozen
+    index reproduce the batch blocking graph statistic-for-statistic —
+    this is the mode the stream-vs-batch equivalence property is proven
+    against.
 
 ``fast``
     Reads the live structures directly with incrementally maintained

@@ -14,6 +14,8 @@ import unicodedata
 from collections.abc import Iterable, Iterator
 
 _TOKEN_RE = re.compile(r"[\W_]+", re.UNICODE)
+#: One token: a maximal run of the characters :data:`_TOKEN_RE` keeps.
+_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 #: Tokens shorter than this carry almost no discriminating power and are
 #: dropped by default (single characters, stray punctuation remnants).
@@ -46,8 +48,12 @@ def tokenize(value: str, min_length: int = MIN_TOKEN_LENGTH) -> list[str]:
 
     >>> tokenize("Abram St. 30 NY")
     ['abram', 'st', '30', 'ny']
+
+    Equal to ``normalize(value).split()`` (no character is both a word
+    character and whitespace), in one regex pass.
     """
-    return [t for t in normalize(value).split() if len(t) >= min_length]
+    tokens = _WORD_RE.findall(unicodedata.normalize("NFKC", value).casefold())
+    return [t for t in tokens if len(t) >= min_length]
 
 
 def token_set(values: Iterable[str], min_length: int = MIN_TOKEN_LENGTH) -> set[str]:

@@ -11,12 +11,19 @@ entity index, and the same schema statistics.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from oracles.corpus import corpus_arrays
 from repro.blocking.qgrams import QGramsBlocking
 from repro.blocking.schema_aware import LooselySchemaAwareBlocking
 from repro.blocking.suffix_array import SuffixArrayBlocking
 from repro.blocking.token import TokenBlocking
 from repro.core.stages import SchemaExtraction
-from repro.data import EntityCollection, EntityProfile, ERDataset, GroundTruth
+from repro.data import (
+    EntityCollection,
+    EntityProfile,
+    ERDataset,
+    GroundTruth,
+    InternedCorpus,
+)
 from repro.graph.entity_index import EntityIndex
 from repro.schema.attribute_profile import build_attribute_profiles
 from repro.schema.entropy import attribute_entropies
@@ -195,6 +202,66 @@ class TestInternedSchemaMatchesStrings:
         assert interned.to_dict() == legacy.to_dict()
 
 
+# Values drawn from a small pool (so many repeat, across attributes,
+# profiles and sources) mixed with arbitrary Unicode text.
+values = st.one_of(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join),
+    st.sampled_from(["St. Main", "ST main", "a_b", "３０ x", "", "ﬁne ①"]),
+    st.text(max_size=12),
+)
+
+raw_profiles = st.lists(
+    st.lists(st.tuples(st.sampled_from(ATTRIBUTES), values), max_size=4),
+    min_size=1,
+    max_size=8,
+)
+
+raw_datasets = st.one_of(
+    raw_profiles.map(
+        lambda rows: ERDataset(
+            EntityCollection(
+                [EntityProfile(f"d{n}", tuple(pairs)) for n, pairs in enumerate(rows)],
+                "web",
+            ),
+            None,
+            GroundTruth([], clean_clean=False),
+            name="prop-dirty",
+        )
+    ),
+    st.tuples(raw_profiles, raw_profiles).map(
+        lambda pair: ERDataset(
+            EntityCollection(
+                [EntityProfile(f"a{n}", tuple(p)) for n, p in enumerate(pair[0])],
+                "S1",
+            ),
+            EntityCollection(
+                [EntityProfile(f"b{n}", tuple(p)) for n, p in enumerate(pair[1])],
+                "S2",
+            ),
+            GroundTruth([]),
+            name="prop-cc",
+        )
+    ),
+)
+
+
+class TestCorpusBuildMatchesPerTokenLoop:
+    @settings(deadline=None, max_examples=200)
+    @given(raw_datasets)
+    def test_arrays_and_ids_are_identical(self, dataset):
+        tokens, attributes, profile_ptr, attr_ids, token_ids = corpus_arrays(dataset)
+        corpus = InternedCorpus.build(dataset)
+        assert list(corpus.dictionary) == tokens
+        assert corpus.attributes == attributes
+        for got, want in (
+            (corpus.profile_ptr, profile_ptr),
+            (corpus.attr_ids, attr_ids),
+            (corpus.token_ids, token_ids),
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 class TestMemmapRoundTrip:
     @settings(deadline=None, max_examples=30)
     @given(datasets)
@@ -204,8 +271,6 @@ class TestMemmapRoundTrip:
         # attribute id assignments, so every downstream consumer is
         # oblivious to whether the corpus lives on the heap or on disk.
         import tempfile
-
-        from repro.data import InternedCorpus
 
         corpus = dataset.corpus
         with tempfile.TemporaryDirectory() as directory:

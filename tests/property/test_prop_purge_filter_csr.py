@@ -3,7 +3,8 @@
 The ``exact`` streaming view restructures its blocks with
 :func:`~repro.blocking.filtering.purge_and_filter_csr`.  The batch chain
 ``build_blocks -> block_purging -> block_filtering ->
-EntityIndex.from_collection`` over ``Block`` objects is the reference: on
+EntityIndex.from_collection`` over ``Block`` objects, with the frozenset
+oracles of ``tests/oracles/blocking.py``, is the reference: on
 random live indexes — clean-clean and dirty, after upsert/delete/re-upsert
 cycles, with and without a comparison cap, with ratios from tiny to 1.0 —
 the view's entity index must equal the oracle's keys and all five CSR
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles.blocking import block_filtering, block_purging
 from repro.blocking.base import build_blocks
-from repro.blocking.filtering import block_filtering, purge_and_filter_csr
-from repro.blocking.purging import block_purging
+from repro.blocking.filtering import purge_and_filter_csr
 from repro.data import EntityProfile
 from repro.graph.entity_index import EntityIndex
 from repro.streaming import IncrementalBlockIndex

@@ -2,12 +2,19 @@
 
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.schema.similarity import cosine, dice, jaccard
 from repro.utils.tokenize import normalize, qgrams, tokenize
 
 text = st.text(max_size=60)
+# Every code point (surrogates included), weighted towards the separators,
+# compatibility forms and case mappings tokenization has to agree on.
+TRICKY = "\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u2029\u3000\u200b_-. \u00dfﬁ①３\u0130\u0345"
+unicode_text = st.text(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from(TRICKY)),
+    max_size=40,
+)
 token_sets = st.sets(st.text(alphabet="abcdefg", min_size=1, max_size=4), max_size=12)
 
 
@@ -36,6 +43,12 @@ class TestTokenizeProperties:
     def test_tokens_are_normalized_words(self, value):
         for token in tokenize(value):
             assert token == normalize(token)
+
+    @settings(max_examples=500)
+    @given(unicode_text, st.integers(min_value=0, max_value=4))
+    def test_tokenize_is_split_of_normalize(self, value, min_length):
+        expected = [t for t in normalize(value).split() if len(t) >= min_length]
+        assert tokenize(value, min_length) == expected
 
     @given(text, st.integers(min_value=2, max_value=5))
     def test_qgrams_have_bounded_length(self, value, q):
